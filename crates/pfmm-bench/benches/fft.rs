@@ -1,5 +1,5 @@
-//! Micro-benchmarks of the FFT substrate: the 1-D transforms (radix-2 and
-//! Bluestein paths) and the 3-D grids the M2L diagonalization uses.
+//! Micro-benchmarks of the FFT substrate: the mixed-radix 1-D transform at
+//! the M2L line lengths and the 3-D grids the M2L diagonalization uses.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use pfmm_fft::{Complex, Fft3, FftPlan};
@@ -14,27 +14,12 @@ fn signal(n: usize) -> Vec<Complex> {
 fn bench_fft(c: &mut Criterion) {
     let mut g = c.benchmark_group("fft");
 
-    for n in [64usize, 256, 1024] {
+    // The 1-D line lengths of the M2L torus sides `n = 2p` at orders
+    // 4..=8: radix 4·2, 2·5, 4·3, 2·7 (generic odd prime), 4·4.
+    for n in [8usize, 10, 12, 14, 16] {
         let plan = FftPlan::new(n);
         let x = signal(n);
-        g.bench_function(format!("radix2_forward_{n}"), |b| {
-            b.iter_batched(
-                || x.clone(),
-                |mut v| {
-                    plan.forward(&mut v);
-                    black_box(v)
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-
-    // Bluestein path: non-power-of-two length (the 2p grids of odd
-    // orders).
-    for n in [12usize, 100] {
-        let plan = FftPlan::new(n);
-        let x = signal(n);
-        g.bench_function(format!("bluestein_forward_{n}"), |b| {
+        g.bench_function(format!("forward_{n}"), |b| {
             b.iter_batched(
                 || x.clone(),
                 |mut v| {

@@ -66,7 +66,7 @@ fn bench_m2l(c: &mut Criterion) {
         let table = eng.build_table(&[(level, offset)], 1);
         let u: Vec<f64> = (0..BUCKET * nd).map(|i| (i as f64 * 0.13).sin()).collect();
         let sources: Vec<usize> = (0..BUCKET).collect();
-        let src = eng.source_spectra(&sources, BUCKET, &u, nd, 1);
+        let src = eng.source_spectra(&sources, BUCKET, &u, nd);
         let mut scratch = eng.new_scratch(BUCKET);
         scratch.reset(BUCKET);
         let (k, scale) = table.get(level, offset_slot(offset));

@@ -55,13 +55,16 @@ type Spectra = Arc<Vec<Option<Arc<Vec<Complex>>>>>;
 /// kernel-spectrum table lives in the workspace since it is
 /// density-independent).
 type BatchedSpectra = Arc<SourceSpectra>;
-use crate::m2l_batched::{offset_slot, FftBatchedM2l, SourceSpectra, SpectraTable, SpectraTmp};
+/// Batched-mode pass 1 in flight under the graph executor: the indexed
+/// sources, their spectra table, and its blocks shared by the run tasks.
+type BatchedPass1 = (Vec<usize>, SourceSpectra, GraphBuf<f64>);
+use crate::m2l_batched::{offset_slot, FftBatchedM2l, SourceSpectra, SpectraTable};
 use crate::m2l_fft::FftM2l;
 use crate::ops::Ops;
 use crate::par::{par_map, par_map_n, par_windows, par_windows_weighted, weighted_cuts, SetupPar};
 use crate::profile::{flop_model, Phase, Profile};
 use crate::reduce::{reduce_scatter_hypercube, reduce_scatter_naive, HypercubeReduceAsync};
-use crate::workspace::{EvalWorkspace, WorkerScratch};
+use crate::workspace::{EvalWorkspace, ScratchPool, WorkerScratch};
 
 /// Per-LET evaluation workspace: leaf geometry, packed densities, and the
 /// level ordering of the up/down traversals.
@@ -754,10 +757,40 @@ impl Ctx<'_> {
         fl
     }
 
+    /// V-list batched pass-1 prologue: collect the V-list sources and
+    /// index the spectra table for them. The kernel-spectrum table is
+    /// *not* built here — it lives in the workspace (density-independent;
+    /// built once at workspace creation).
+    fn vli_batched_index(
+        &self,
+        has_up: &[bool],
+        needed: &mut Vec<bool>,
+        sources: &mut Vec<usize>,
+        out: &mut SourceSpectra,
+    ) {
+        self.vli_mark_sources(has_up, needed, sources);
+        self.fftb.index_sources(sources, self.l.len(), out);
+    }
+
+    /// Transform the indexed sources `run` into `window`, their blocks of
+    /// the spectra table, through a pooled worker scratch; returns flops.
+    fn vli_batched_transform(
+        &self,
+        sources: &[usize],
+        run: Range<usize>,
+        u: &[f64],
+        window: &mut [f64],
+        pool: &ScratchPool,
+    ) -> u64 {
+        let fftb = self.fftb;
+        let n = run.len() as u64;
+        pool.with(|sc| fftb.transform_sources(&sources[run], u, self.ulen, window, &mut sc.tmp));
+        n * fftb.flops_forward()
+    }
+
     /// V-list batched pass 1: half-spectrum transform every V-list
-    /// source once into the workspace-owned spectra. The kernel-spectrum
-    /// table is *not* built here — it lives in the workspace
-    /// (density-independent; built once at workspace creation).
+    /// source once into the workspace-owned spectra, each worker writing
+    /// the blocks of its own source run in place.
     #[allow(clippy::too_many_arguments)]
     fn vli_batched_spectra_into(
         &self,
@@ -766,32 +799,18 @@ impl Ctx<'_> {
         threads: usize,
         needed: &mut Vec<bool>,
         sources: &mut Vec<usize>,
-        tmp: &mut SpectraTmp,
+        pool: &ScratchPool,
         out: &mut SourceSpectra,
     ) -> u64 {
-        let (fftb, ulen) = (self.fftb, self.ulen);
-        let noct = self.l.len();
-        self.vli_mark_sources(has_up, needed, sources);
-        let fl = sources.len() as u64 * fftb.flops_forward();
-        fftb.source_spectra_into(sources, noct, u, ulen, threads, tmp, out);
-        fl
-    }
-
-    /// Allocating wrapper for the graph executor's pass-1 task.
-    fn vli_batched_spectra(&self, has_up: &[bool], u: &[f64]) -> (SourceSpectra, u64) {
-        let (mut needed, mut sources) = (Vec::new(), Vec::new());
-        let mut tmp = SpectraTmp::default();
-        let mut out = SourceSpectra::empty();
-        let fl = self.vli_batched_spectra_into(
-            has_up,
-            u,
-            1,
-            &mut needed,
-            &mut sources,
-            &mut tmp,
-            &mut out,
-        );
-        (out, fl)
+        self.vli_batched_index(has_up, needed, sources, out);
+        let block = self.fftb.source_block();
+        par_windows(
+            threads,
+            sources.len(),
+            &mut out.blocks,
+            &|i| i * block,
+            |run, window, _| self.vli_batched_transform(sources, run, u, window, pool),
+        )
     }
 
     /// V-list batched pass 2: targets are processed in small batches
@@ -1337,17 +1356,8 @@ fn run_phases_barrier(
                 let table = btable
                     .as_ref()
                     .expect("spectrum table built at workspace creation");
-                let fl = pool.with(|sc| {
-                    cx.vli_batched_spectra_into(
-                        has_up,
-                        u,
-                        threads,
-                        needed,
-                        sources,
-                        &mut sc.tmp,
-                        src,
-                    )
-                });
+                let fl =
+                    cx.vli_batched_spectra_into(has_up, u, threads, needed, sources, pool, src);
                 prof.add_flops(Phase::VList, fl);
                 let src: &SourceSpectra = src;
                 let flops = par_windows_weighted(
@@ -1465,6 +1475,7 @@ fn run_phases_graph(
     let comm_delta: Slot<CommStats> = Slot::new();
     let spectra: Slot<Spectra> = Slot::new();
     let bspectra: Slot<BatchedSpectra> = Slot::new();
+    let pass1: Slot<Arc<BatchedPass1>> = Slot::new();
 
     let cxr = &cx;
     let (ur, hur, dcr, fr, dbr, ucr) = (&ub, &hub, &dcb, &fb, &db, &ucb);
@@ -1472,6 +1483,7 @@ fn run_phases_graph(
     let cdr = &comm_delta;
     let sp = &spectra;
     let bsp = &bspectra;
+    let p1r = &pass1;
 
     let mut g = Graph::new();
 
@@ -1616,13 +1628,45 @@ fn run_phases_graph(
             sp.put(Arc::new(uhat));
             flr[Phase::VList as usize].fetch_add(fl, Ordering::Relaxed);
         }),
-        M2lMode::FftBatched => g.task(Phase::VList.label(), &[comm_id], move || {
-            let u_ro = unsafe { ur.as_slice() };
-            let hu = unsafe { hur.as_slice() };
-            let (src, fl) = cxr.vli_batched_spectra(hu, u_ro);
-            bsp.put(Arc::new(src));
-            flr[Phase::VList as usize].fetch_add(fl, Ordering::Relaxed);
-        }),
+        M2lMode::FftBatched => {
+            // Index the sources once comm is done, transform them in
+            // `nchunks` disjoint block windows, then hand the table on.
+            let index = g.task(Phase::VList.label(), &[comm_id], move || {
+                // Safety: `has_up` is read-only once comm has refreshed it.
+                let hu = unsafe { hur.as_slice() };
+                let (mut needed, mut sources) = (Vec::new(), Vec::new());
+                let mut out = SourceSpectra::empty();
+                cxr.vli_batched_index(hu, &mut needed, &mut sources, &mut out);
+                let blocks = GraphBuf::new(std::mem::take(&mut out.blocks));
+                p1r.put(Arc::new((sources, out, blocks)));
+            });
+            let runs: Vec<_> = (0..nchunks)
+                .map(|k| {
+                    g.task(Phase::VList.label(), &[index], move || {
+                        let p1 = p1r.with(Arc::clone);
+                        let (sources, _, blocks) = &*p1;
+                        let (lo, hi) = (
+                            k * sources.len() / nchunks,
+                            (k + 1) * sources.len() / nchunks,
+                        );
+                        let block = cxr.fftb.source_block();
+                        // Safety: `u` is read-only after comm; the runs'
+                        // block windows are disjoint, and the hand-off
+                        // task below waits for every run.
+                        let u_ro = unsafe { ur.as_slice() };
+                        let w = unsafe { blocks.slice_mut(lo * block, (hi - lo) * block) };
+                        let fl = cxr.vli_batched_transform(sources, lo..hi, u_ro, w, pool);
+                        flr[Phase::VList as usize].fetch_add(fl, Ordering::Relaxed);
+                    })
+                })
+                .collect();
+            g.task(Phase::VList.label(), &runs, move || {
+                let (_, mut out, blocks) =
+                    Arc::into_inner(p1r.take()).expect("every pass-1 run finished");
+                out.blocks = blocks.into_inner();
+                bsp.put(Arc::new(out));
+            })
+        }
     };
     let vli_ids: Vec<_> = (0..nchunks)
         .map(|k| {

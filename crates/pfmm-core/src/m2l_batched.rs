@@ -126,26 +126,26 @@ impl SpectraTable {
 }
 
 /// Forward-transformed equivalent densities for the V-list sources of one
-/// evaluation, packed split-complex: source `s` holds `sd` planes of `gh`
-/// frequencies each at `[(idx[s]·sd + c)·gh .. ][..gh]`.
+/// evaluation, packed split-complex: source `s` owns the block
+/// `[s·2·stride ..][..2·stride]` — its `sd` real planes of `gh`
+/// frequencies, then its `sd` imaginary planes. Pass 1 writes the blocks
+/// of disjoint source runs in place.
 pub struct SourceSpectra {
-    /// Compact plane index per octant; `u32::MAX` for octants that are
+    /// Compact source index per octant; `u32::MAX` for octants that are
     /// not a V-list source.
     idx: Vec<u32>,
-    re: Vec<f64>,
-    im: Vec<f64>,
-    /// Values per source (`sd·gh`).
+    /// Every source's block, in source order.
+    pub(crate) blocks: Vec<f64>,
+    /// Values per real (or imaginary) half of a block (`sd·gh`).
     stride: usize,
 }
 
 impl SourceSpectra {
-    /// An empty table, warmed in place by
-    /// [`FftBatchedM2l::source_spectra_into`].
+    /// An empty table, warmed in place by pass 1.
     pub fn empty() -> SourceSpectra {
         SourceSpectra {
             idx: Vec::new(),
-            re: Vec::new(),
-            im: Vec::new(),
+            blocks: Vec::new(),
             stride: 0,
         }
     }
@@ -153,7 +153,7 @@ impl SourceSpectra {
     /// Heap bytes held (element counts × element sizes).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.idx.len() * size_of::<u32>() + (self.re.len() + self.im.len()) * size_of::<f64>()
+        self.idx.len() * size_of::<u32>() + self.blocks.len() * size_of::<f64>()
     }
 
     /// The split-complex planes of octant `oct` (`sd·gh` values each).
@@ -161,11 +161,8 @@ impl SourceSpectra {
     pub fn planes(&self, oct: usize) -> (&[f64], &[f64]) {
         let s = self.idx[oct];
         debug_assert_ne!(s, u32::MAX, "octant was not transformed");
-        let lo = s as usize * self.stride;
-        (
-            &self.re[lo..lo + self.stride],
-            &self.im[lo..lo + self.stride],
-        )
+        let block = &self.blocks[2 * s as usize * self.stride..][..2 * self.stride];
+        block.split_at(self.stride)
     }
 }
 
@@ -202,7 +199,9 @@ impl BatchScratch {
 
 /// Per-worker scratch for the forward source transforms (pass 1 of the
 /// batched V-list): the torus embedding grid, its half spectrum, and the
-/// FFT work vectors. A default (empty) scratch warms on first use.
+/// FFT work vectors. A default (empty) scratch warms on first use. The
+/// grid is zeroed only when it is sized: every transform writes the same
+/// surface cells (one order per grid size), so the rest stays zero.
 #[derive(Default)]
 pub struct SpectraTmp {
     grid: Vec<f64>,
@@ -378,117 +377,75 @@ impl FftBatchedM2l {
     }
 
     /// Forward-transform the equivalent densities of the given source
-    /// octants (pass 1). `u` is the packed upward-density array with
-    /// `ulen` values per octant; `noct` sizes the octant index.
+    /// octants (pass 1) on the calling thread. `u` is the packed
+    /// upward-density array with `ulen` values per octant; `noct` sizes
+    /// the octant index.
     pub fn source_spectra(
         &self,
         sources: &[usize],
         noct: usize,
         u: &[f64],
         ulen: usize,
-        threads: usize,
     ) -> SourceSpectra {
         let mut out = SourceSpectra::empty();
-        self.source_spectra_into(
-            sources,
-            noct,
-            u,
-            ulen,
-            threads,
-            &mut SpectraTmp::default(),
-            &mut out,
-        );
+        self.index_sources(sources, noct, &mut out);
+        let tmp = &mut SpectraTmp::default();
+        self.transform_sources(sources, u, ulen, &mut out.blocks, tmp);
         out
     }
 
-    /// [`Self::source_spectra`] writing into a caller-owned table:
-    /// alloc-free once `out` and `tmp` have warmed to this evaluation's
-    /// source count (the workspace path). At `threads > 1` the per-source
-    /// transforms still run through the allocating parallel map —
-    /// transforms are independent, so results are bitwise identical
-    /// either way.
-    #[allow(clippy::too_many_arguments)]
-    pub fn source_spectra_into(
-        &self,
-        sources: &[usize],
-        noct: usize,
-        u: &[f64],
-        ulen: usize,
-        threads: usize,
-        tmp: &mut SpectraTmp,
-        out: &mut SourceSpectra,
-    ) {
-        let sd = self.sd();
-        let gh = self.spectrum_len();
-        let stride = sd * gh;
-        out.stride = stride;
+    /// Values per source block of a [`SourceSpectra`] (`2·sd·gh`).
+    pub(crate) fn source_block(&self) -> usize {
+        2 * self.sd() * self.spectrum_len()
+    }
+
+    /// Index `sources` into `out` (source `s` owns block `s`) and size its
+    /// blocks — alloc-free once `out` has warmed. Block contents are left
+    /// stale: [`Self::transform_sources`] overwrites every value.
+    pub(crate) fn index_sources(&self, sources: &[usize], noct: usize, out: &mut SourceSpectra) {
+        out.stride = self.source_block() / 2;
         out.idx.clear();
         out.idx.resize(noct, u32::MAX);
-        out.re.clear();
-        out.re.resize(sources.len() * stride, 0.0);
-        out.im.clear();
-        out.im.resize(sources.len() * stride, 0.0);
-        if threads <= 1 || sources.len() < 2 {
-            for (s, &ai) in sources.iter().enumerate() {
-                out.idx[ai] = s as u32;
-                let lo = s * stride;
-                self.transform_source_into(
-                    &u[ai * ulen..(ai + 1) * ulen],
-                    tmp,
-                    &mut out.re[lo..lo + stride],
-                    &mut out.im[lo..lo + stride],
-                );
-            }
-        } else {
-            let planes: Vec<(Vec<f64>, Vec<f64>)> = par_map(threads, sources, |ai| {
-                self.transform_source(&u[ai * ulen..(ai + 1) * ulen])
-            });
-            for (s, (&ai, (pr, pi))) in sources.iter().zip(planes).enumerate() {
-                out.idx[ai] = s as u32;
-                out.re[s * stride..(s + 1) * stride].copy_from_slice(&pr);
-                out.im[s * stride..(s + 1) * stride].copy_from_slice(&pi);
-            }
+        for (s, &ai) in sources.iter().enumerate() {
+            out.idx[ai] = s as u32;
         }
+        out.blocks.resize(sources.len() * self.source_block(), 0.0);
     }
 
-    /// Embed one octant's `n_surf·sd` packed density on the torus and
-    /// half-spectrum transform each component.
-    fn transform_source(&self, u: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let sd = self.sd();
-        let gh = self.spectrum_len();
-        let mut re = vec![0.0f64; sd * gh];
-        let mut im = vec![0.0f64; sd * gh];
-        self.transform_source_into(u, &mut SpectraTmp::default(), &mut re, &mut im);
-        (re, im)
-    }
-
-    /// [`Self::transform_source`] through caller-owned scratch, writing
-    /// the split-complex planes in place.
-    fn transform_source_into(
+    /// Transform a run of indexed sources into `window`, their
+    /// consecutive blocks: embed each octant's `n_surf·sd` packed density
+    /// on the torus and pruned half-spectrum transform each component.
+    /// Disjoint runs may be written concurrently; every source's values
+    /// are independent of the run it belongs to.
+    pub(crate) fn transform_sources(
         &self,
+        sources: &[usize],
         u: &[f64],
+        ulen: usize,
+        window: &mut [f64],
         tmp: &mut SpectraTmp,
-        re: &mut [f64],
-        im: &mut [f64],
     ) {
-        let sd = self.sd();
-        let g = self.grid_len();
-        let gh = self.spectrum_len();
-        debug_assert_eq!(u.len(), self.surf_idx.len() * sd);
-        tmp.grid.clear();
-        tmp.grid.resize(g, 0.0);
-        tmp.spec.clear();
+        let (sd, g, gh) = (self.sd(), self.grid_len(), self.spectrum_len());
+        debug_assert_eq!(window.len(), sources.len() * self.source_block());
+        debug_assert_eq!(ulen, self.surf_idx.len() * sd);
+        if tmp.grid.len() != g {
+            tmp.grid.clear();
+            tmp.grid.resize(g, 0.0);
+        }
         tmp.spec.resize(gh, Complex::ZERO);
-        for c in 0..sd {
-            tmp.grid.fill(0.0);
-            for (s, m) in self.surf_idx.iter().enumerate() {
-                tmp.grid[self.grid_index(m[0], m[1], m[2])] = u[s * sd + c];
-            }
-            self.rfft
-                .forward_with(&tmp.grid, &mut tmp.spec, &mut tmp.fft);
-            for (f, v) in tmp.spec.iter().enumerate() {
-                re[c * gh + f] = v.re;
-                im[c * gh + f] = v.im;
+        for (&ai, block) in sources.iter().zip(window.chunks_exact_mut(2 * sd * gh)) {
+            let u = &u[ai * ulen..(ai + 1) * ulen];
+            let (re, im) = block.split_at_mut(sd * gh);
+            for c in 0..sd {
+                for (s, m) in self.surf_idx.iter().enumerate() {
+                    tmp.grid[self.grid_index(m[0], m[1], m[2])] = u[s * sd + c];
+                }
+                self.rfft
+                    .forward_pruned_with(&tmp.grid, &mut tmp.spec, self.order, &mut tmp.fft);
+                for (f, v) in tmp.spec.iter().enumerate() {
+                    re[c * gh + f] = v.re;
+                    im[c * gh + f] = v.im;
+                }
             }
         }
     }
@@ -546,6 +503,8 @@ impl FftBatchedM2l {
 
     /// Inverse-transform target accumulator `slot` and add the surface
     /// values into the packed downward check potential (`n_surf·td`).
+    /// The pruned inverse computes only the `[0, p)³` corner the surface
+    /// lives in.
     pub fn finish(&self, scratch: &mut BatchScratch, slot: usize, dcheck: &mut [f64]) {
         let gh = self.spectrum_len();
         let td = self.td();
@@ -557,8 +516,12 @@ impl FftBatchedM2l {
             for (f, v) in scratch.spec.iter_mut().enumerate() {
                 *v = Complex::new(ar[f], ai[f]);
             }
-            self.rfft
-                .inverse_with(&mut scratch.spec, &mut scratch.grid, &mut scratch.fft);
+            self.rfft.inverse_pruned_with(
+                &mut scratch.spec,
+                &mut scratch.grid,
+                self.order,
+                &mut scratch.fft,
+            );
             for (t, m) in self.surf_idx.iter().enumerate() {
                 dcheck[t * td + tc] += scratch.grid[self.grid_index(m[0], m[1], m[2])];
             }
@@ -633,7 +596,7 @@ mod tests {
         let nd = ops.density_len();
         let u: Vec<f64> = (0..nd).map(|i| (i as f64 * 0.37).sin() + 0.2).collect();
         let noct = 1;
-        let src = eng.source_spectra(&[0], noct, &u, nd, 1);
+        let src = eng.source_spectra(&[0], noct, &u, nd);
         let (sre, sim) = src.planes(0);
         let mut scratch = eng.new_scratch(1);
 
@@ -672,6 +635,20 @@ mod tests {
         sweep_all_offsets(Arc::new(Stokes::default()), 4, 3);
     }
 
+    /// Torus sides `n = 10, 12, 14`: radix-5, radix-4·3 and generic
+    /// radix-7 lines under the pruned transforms.
+    #[test]
+    fn laplace_all_offsets_match_dense_orders_5_6_7() {
+        for order in [5, 6, 7] {
+            sweep_all_offsets(Arc::new(Laplace), order, 2);
+        }
+    }
+
+    #[test]
+    fn stokes_all_offsets_match_dense_order6() {
+        sweep_all_offsets(Arc::new(Stokes::default()), 6, 3);
+    }
+
     #[test]
     fn homogeneous_table_shares_base_spectra_across_levels() {
         let eng = FftBatchedM2l::new(Arc::new(Laplace), 4);
@@ -705,7 +682,7 @@ mod tests {
         all.extend_from_slice(&u1);
         all.extend_from_slice(&u2);
         all.extend_from_slice(&sum);
-        let src = eng.source_spectra(&[0, 1, 2], 3, &all, nd, 1);
+        let src = eng.source_spectra(&[0, 1, 2], 3, &all, nd);
 
         let mut scratch = eng.new_scratch(2);
         scratch.reset(2);

@@ -1,26 +1,40 @@
-//! 1-D FFT: iterative radix-2 with a Bluestein fallback for arbitrary
-//! lengths. Plans cache twiddle factors so repeated transforms of the same
-//! size (the per-octant M2L grids) pay setup once.
+//! 1-D FFT: one mixed-radix Cooley–Tukey plan for every length.
+//!
+//! A plan factors `n` into radix-4/2/3/5 stages with hard-coded
+//! butterflies plus a generic `O(r²)` one for other odd primes, with every
+//! stage's twiddles precomputed. Stages run in Stockham (self-sorting)
+//! order between the data and one work buffer, so there is no
+//! digit-reversal pass, and each stage's inner loop runs across `cols`
+//! interleaved columns (element `j` of column `c` at `data[j·cols + c]`):
+//! one code path transforms a single line or a batch of strided lines.
 
 use crate::complex::Complex;
 
-/// Reusable scratch for [`FftPlan::forward_with`] / [`FftPlan::inverse_with`].
-///
-/// The Bluestein path needs one padded work vector per transform; owning
-/// it here lets a caller amortize that allocation across many transforms
-/// (the zero-allocation steady state of the batched M2L). A default
-/// (empty) scratch works for any plan — buffers grow on first use and
-/// are then reused.
+/// Reusable scratch for [`FftPlan::forward_with`] /
+/// [`FftPlan::inverse_with`]: the Stockham ping-pong buffer. A default
+/// (empty) scratch works for any plan — the buffer grows on first use and
+/// is then reused, so warmed transforms are allocation-free.
 #[derive(Default)]
 pub struct FftScratch {
-    a: Vec<Complex>,
+    work: Vec<Complex>,
 }
 
 impl FftScratch {
     /// Heap bytes held, by allocated capacity.
     pub fn memory_bytes(&self) -> usize {
-        self.a.capacity() * std::mem::size_of::<Complex>()
+        self.work.capacity() * std::mem::size_of::<Complex>()
     }
+}
+
+/// One decimation-in-frequency stage: radix `r` on sub-transforms of
+/// length `r·m`.
+struct Stage {
+    r: usize,
+    m: usize,
+    /// `e^{-2πi·p·u/(r·m)}` at `[p·(r−1) + u − 1]` for `p < m`, `1 ≤ u < r`.
+    tw: Vec<Complex>,
+    /// `e^{-2πi·k/r}` (read by the generic odd-prime butterfly).
+    roots: Vec<Complex>,
 }
 
 /// A cached transform plan for a fixed length.
@@ -28,7 +42,7 @@ impl FftScratch {
 /// ```
 /// use pfmm_fft::{Complex, FftPlan};
 ///
-/// let plan = FftPlan::new(12); // non-power-of-two: Bluestein path
+/// let plan = FftPlan::new(12); // mixed radix: 4 · 3
 /// let x: Vec<Complex> = (0..12).map(|i| Complex::real(i as f64)).collect();
 /// let mut y = x.clone();
 /// plan.forward(&mut y);
@@ -39,69 +53,31 @@ impl FftScratch {
 /// ```
 pub struct FftPlan {
     n: usize,
-    kind: PlanKind,
-}
-
-enum PlanKind {
-    /// Power-of-two length: iterative Cooley–Tukey with cached twiddles.
-    Radix2 { twiddles: Vec<Complex> },
-    /// Arbitrary length via Bluestein's chirp-z: two radix-2 transforms of
-    /// padded length `m`.
-    Bluestein {
-        m: usize,
-        chirp: Vec<Complex>,
-        /// Forward transform of the zero-padded conjugate chirp.
-        bhat: Vec<Complex>,
-        inner: Box<FftPlan>,
-    },
+    stages: Vec<Stage>,
 }
 
 impl FftPlan {
     /// Plan a transform of length `n` (`n >= 1`).
     pub fn new(n: usize) -> FftPlan {
         assert!(n >= 1, "FFT length must be positive");
-        if n.is_power_of_two() {
-            // Twiddles for all stages: w_m^k for m = 2,4,...,n.
-            let mut twiddles = Vec::with_capacity(n.max(1));
-            let mut m = 2;
-            while m <= n {
-                for k in 0..m / 2 {
-                    twiddles.push(Complex::cis(
-                        -2.0 * std::f64::consts::PI * k as f64 / m as f64,
-                    ));
-                }
-                m <<= 1;
-            }
-            FftPlan {
-                n,
-                kind: PlanKind::Radix2 { twiddles },
-            }
-        } else {
-            let m = (2 * n - 1).next_power_of_two();
-            let mut chirp = Vec::with_capacity(n);
-            for k in 0..n {
-                // w_k = e^{-iπ k² / n}; k² mod 2n keeps the argument small.
-                let kk = (k * k) % (2 * n);
-                chirp.push(Complex::cis(-std::f64::consts::PI * kk as f64 / n as f64));
-            }
-            let inner = Box::new(FftPlan::new(m));
-            let mut b = vec![Complex::ZERO; m];
-            b[0] = chirp[0].conj();
-            for k in 1..n {
-                b[k] = chirp[k].conj();
-                b[m - k] = chirp[k].conj();
-            }
-            inner.forward(&mut b);
-            FftPlan {
-                n,
-                kind: PlanKind::Bluestein {
-                    m,
-                    chirp,
-                    bhat: b,
-                    inner,
-                },
-            }
+        let cis = |k: usize, len: usize| {
+            Complex::cis(-2.0 * std::f64::consts::PI * (k % len) as f64 / len as f64)
+        };
+        let (mut rest, mut stages) = (n, Vec::new());
+        while rest > 1 {
+            // Radix 4, 2, 3, 5 first; then the smallest (prime) divisor.
+            let divides = |r: &usize| rest.is_multiple_of(*r);
+            let r = [4, 2, 3, 5].into_iter().find(divides);
+            let r = r.unwrap_or_else(|| (7..).step_by(2).find(divides).expect("rest > 1"));
+            let m = rest / r;
+            let tw = (0..m)
+                .flat_map(|p| (1..r).map(move |u| cis(p * u, rest)))
+                .collect();
+            let roots = (0..r).map(|k| cis(k, r)).collect();
+            stages.push(Stage { r, m, tw, roots });
+            rest = m;
         }
+        FftPlan { n, stages }
     }
 
     /// Transform length.
@@ -123,38 +99,10 @@ impl FftPlan {
     }
 
     /// [`Self::forward`] reusing caller-owned scratch: alloc-free once
-    /// the scratch has warmed to this plan's size. Bitwise identical to
-    /// [`Self::forward`] (the Bluestein work vector starts all-zero
-    /// either way).
+    /// the scratch has warmed to this plan's size, bitwise identical.
     pub fn forward_with(&self, data: &mut [Complex], sc: &mut FftScratch) {
         assert_eq!(data.len(), self.n, "plan/buffer length mismatch");
-        match &self.kind {
-            PlanKind::Radix2 { twiddles } => radix2(data, twiddles),
-            PlanKind::Bluestein {
-                m,
-                chirp,
-                bhat,
-                inner,
-            } => {
-                let n = self.n;
-                sc.a.clear();
-                sc.a.resize(*m, Complex::ZERO);
-                let a = &mut sc.a;
-                for k in 0..n {
-                    a[k] = data[k] * chirp[k];
-                }
-                // `inner` is the padded power-of-two plan: always the
-                // radix-2 (in-place, scratch-free) path, never recursive.
-                inner.forward(a);
-                for (x, b) in a.iter_mut().zip(bhat) {
-                    *x *= *b;
-                }
-                inner.inverse(a);
-                for k in 0..n {
-                    data[k] = a[k] * chirp[k];
-                }
-            }
-        }
+        self.cols(data, 1, sc);
     }
 
     /// In-place inverse DFT (normalized by `1/n`).
@@ -169,56 +117,139 @@ impl FftPlan {
     /// [`Self::forward_with`]).
     pub fn inverse_with(&self, data: &mut [Complex], sc: &mut FftScratch) {
         assert_eq!(data.len(), self.n, "plan/buffer length mismatch");
+        // The conjugate trick: IDFT(x) = conj(DFT(conj(x))) / n.
         for v in data.iter_mut() {
             *v = v.conj();
         }
-        self.forward_with(data, sc);
+        self.cols(data, 1, sc);
         let inv = 1.0 / self.n as f64;
         for v in data.iter_mut() {
             *v = v.conj().scale(inv);
         }
     }
+
+    /// Forward-transform the `cols` interleaved columns of `data`
+    /// (element `j` of column `c` at `data[j·cols + c]`) in place.
+    /// Inverses use the conjugate trick around this (see
+    /// [`Self::inverse_with`]), so every butterfly has one direction.
+    pub(crate) fn cols(&self, data: &mut [Complex], cols: usize, sc: &mut FftScratch) {
+        let len = self.n * cols;
+        assert_eq!(data.len(), len, "plan/buffer length mismatch");
+        if sc.work.len() < len {
+            sc.work.resize(len, Complex::ZERO);
+        }
+        let work = &mut sc.work[..len];
+        let (mut s, mut in_work) = (cols, false);
+        for st in &self.stages {
+            let (x, y) = if in_work {
+                (&*work, &mut *data)
+            } else {
+                (&*data, &mut *work)
+            };
+            match st.r {
+                4 => stage(st, s, x, y, bf4),
+                2 => stage(st, s, x, y, bf2),
+                3 => stage(st, s, x, y, bf3),
+                5 => stage(st, s, x, y, bf5),
+                _ => generic(st, s, x, y),
+            }
+            in_work = !in_work;
+            s *= st.r;
+        }
+        if in_work {
+            data.copy_from_slice(work);
+        }
+    }
 }
 
-/// Iterative radix-2 Cooley–Tukey, decimation in time.
-fn radix2(data: &mut [Complex], twiddles: &[Complex]) {
-    let n = data.len();
-    if n <= 1 {
-        return;
-    }
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-    // Butterfly stages; twiddles for stage of width m start at offset m/2-1.
-    let mut m = 2;
-    let mut toff = 0;
-    while m <= n {
-        let half = m / 2;
-        let stage = &twiddles[toff..toff + half];
-        let mut start = 0;
-        while start < n {
-            for k in 0..half {
-                let w = stage[k];
-                let u = data[start + k];
-                let t = data[start + k + half] * w;
-                data[start + k] = u + t;
-                data[start + k + half] = u - t;
+/// One Stockham DIF stage over `s` interleaved columns: reads the `R`
+/// rows `p + t·m` of `x`, writes rows `R·p + u` of `y` twiddled by
+/// `w^{p·u}`.
+#[inline(always)]
+fn stage<const R: usize>(
+    st: &Stage,
+    s: usize,
+    x: &[Complex],
+    y: &mut [Complex],
+    bf: impl Fn(&mut [Complex; R]),
+) {
+    let m = st.m;
+    for p in 0..m {
+        let tw = &st.tw[p * (R - 1)..(p + 1) * (R - 1)];
+        let w: [Complex; R] =
+            std::array::from_fn(|u| if u == 0 { Complex::ONE } else { tw[u - 1] });
+        let src: [&[Complex]; R] = std::array::from_fn(|t| &x[s * (p + t * m)..][..s]);
+        let dst = &mut y[s * R * p..][..s * R];
+        for q in 0..s {
+            let mut a: [Complex; R] = std::array::from_fn(|t| src[t][q]);
+            bf(&mut a);
+            dst[q] = a[0];
+            for u in 1..R {
+                dst[q + s * u] = a[u] * w[u];
             }
-            start += m;
         }
-        toff += half;
-        m <<= 1;
     }
+}
+
+/// The generic odd-prime stage: a direct `O(r²)` DFT per butterfly.
+fn generic(st: &Stage, s: usize, x: &[Complex], y: &mut [Complex]) {
+    let (r, m) = (st.r, st.m);
+    for p in 0..m {
+        for u in 0..r {
+            for q in 0..s {
+                let mut acc = Complex::ZERO;
+                for t in 0..r {
+                    acc += x[q + s * (p + t * m)] * st.roots[t * u % r];
+                }
+                y[q + s * (r * p + u)] = match u {
+                    0 => acc,
+                    _ => acc * st.tw[p * (r - 1) + u - 1],
+                };
+            }
+        }
+    }
+}
+
+/// `-i·z`: the quarter-turn of the forward DFT.
+#[inline(always)]
+fn rot(z: Complex) -> Complex {
+    Complex::new(z.im, -z.re)
+}
+
+#[inline(always)]
+fn bf2(a: &mut [Complex; 2]) {
+    *a = [a[0] + a[1], a[0] - a[1]];
+}
+
+#[inline(always)]
+fn bf3(a: &mut [Complex; 3]) {
+    const S3: f64 = 0.866_025_403_784_438_6; // sin(2π/3)
+    let (t1, t2) = (a[1] + a[2], a[1] - a[2]);
+    let mid = a[0] - t1.scale(0.5);
+    let r = rot(t2.scale(S3));
+    *a = [a[0] + t1, mid + r, mid - r];
+}
+
+#[inline(always)]
+fn bf4(a: &mut [Complex; 4]) {
+    let (t0, t1) = (a[0] + a[2], a[0] - a[2]);
+    let (t2, t3) = (a[1] + a[3], rot(a[1] - a[3]));
+    *a = [t0 + t2, t1 + t3, t0 - t2, t1 - t3];
+}
+
+#[inline(always)]
+fn bf5(a: &mut [Complex; 5]) {
+    const C1: f64 = 0.309_016_994_374_947_45; // cos(2π/5)
+    const C2: f64 = -0.809_016_994_374_947_5; // cos(4π/5)
+    const S1: f64 = 0.951_056_516_295_153_6; // sin(2π/5)
+    const S2: f64 = 0.587_785_252_292_473_1; // sin(4π/5)
+    let (t1, t2) = (a[1] + a[4], a[2] + a[3]);
+    let (t3, t4) = (a[1] - a[4], a[2] - a[3]);
+    let b1 = a[0] + t1.scale(C1) + t2.scale(C2);
+    let b2 = a[0] + t1.scale(C2) + t2.scale(C1);
+    let r1 = rot(t3.scale(S1) + t4.scale(S2));
+    let r2 = rot(t3.scale(S2) - t4.scale(S1));
+    *a = [a[0] + t1 + t2, b1 + r1, b2 + r2, b2 - r2, b1 - r1];
 }
 
 /// Reference DFT used by tests (O(n²)).
@@ -266,35 +297,39 @@ mod tests {
         }
     }
 
+    /// Every length up to 64 (every radix, the generic primes 7..61, and
+    /// their mixtures) plus two large primes: forward against the
+    /// reference DFT and forward∘inverse against the identity.
     #[test]
-    fn matches_naive_dft_pow2() {
-        for n in [1usize, 2, 4, 8, 16, 64] {
+    fn matches_naive_dft_and_roundtrips_every_length() {
+        for n in (1usize..=64).chain([97, 127]) {
+            let plan = FftPlan::new(n);
             let x = rand_signal(n, n as u64);
             let mut y = x.clone();
-            FftPlan::new(n).forward(&mut y);
-            assert_close(&y, &naive_dft(&x), 1e-9 * n as f64);
-        }
-    }
-
-    #[test]
-    fn matches_naive_dft_arbitrary() {
-        for n in [3usize, 5, 6, 7, 12, 15, 31] {
-            let x = rand_signal(n, 100 + n as u64);
-            let mut y = x.clone();
-            FftPlan::new(n).forward(&mut y);
-            assert_close(&y, &naive_dft(&x), 1e-8 * n as f64);
-        }
-    }
-
-    #[test]
-    fn forward_inverse_roundtrip() {
-        for n in [8usize, 10, 27, 32] {
-            let plan = FftPlan::new(n);
-            let x = rand_signal(n, 7 * n as u64);
-            let mut y = x.clone();
             plan.forward(&mut y);
+            assert_close(&y, &naive_dft(&x), 1e-12 * n as f64);
             plan.inverse(&mut y);
-            assert_close(&y, &x, 1e-10);
+            assert_close(&y, &x, 1e-13 * n as f64);
+        }
+    }
+
+    /// The column-batched transform equals the per-line transform of
+    /// each column, bit for bit.
+    #[test]
+    fn column_batch_equals_per_line_bitwise() {
+        for n in [4usize, 6, 8, 10, 12, 14, 16] {
+            let plan = FftPlan::new(n);
+            let cols = 5;
+            let x = rand_signal(n * cols, 3 * n as u64);
+            let mut batch = x.clone();
+            plan.cols(&mut batch, cols, &mut FftScratch::default());
+            for c in 0..cols {
+                let mut line: Vec<Complex> = (0..n).map(|j| x[j * cols + c]).collect();
+                plan.forward(&mut line);
+                for j in 0..n {
+                    assert_eq!(batch[j * cols + c], line[j], "n={n}");
+                }
+            }
         }
     }
 

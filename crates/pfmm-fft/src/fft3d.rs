@@ -1,10 +1,11 @@
-//! 3-D FFT on a cubic grid, built from 1-D passes along each axis.
+//! 3-D FFT on a cubic grid, built from 1-D passes along each axis (the
+//! y and x passes column-batched, as in [`crate::RFft3`]).
 //!
 //! Layout: `data[(ix * n + iy) * n + iz]` — z fastest, matching the grid
 //! embedding used by the M2L convolution.
 
 use crate::complex::Complex;
-use crate::fft1d::FftPlan;
+use crate::fft1d::{FftPlan, FftScratch};
 
 /// A cached 3-D transform plan for an `n×n×n` grid.
 pub struct Fft3 {
@@ -55,41 +56,23 @@ impl Fft3 {
     fn transform(&self, data: &mut [Complex], fwd: bool) {
         let n = self.n;
         assert_eq!(data.len(), n * n * n, "grid size mismatch");
-        let mut line = vec![Complex::ZERO; n];
-        let run = |line: &mut [Complex]| {
-            if fwd {
-                self.plan.forward(line);
-            } else {
-                self.plan.inverse(line);
-            }
-        };
-        // z lines are contiguous.
-        for xy in 0..n * n {
-            run(&mut data[xy * n..(xy + 1) * n]);
+        let sc = &mut FftScratch::default();
+        // The inverse is the conjugated forward (see `FftPlan::inverse_with`).
+        if !fwd {
+            data.iter_mut().for_each(|v| *v = v.conj());
         }
-        // y lines: stride n.
-        for ix in 0..n {
-            for iz in 0..n {
-                for iy in 0..n {
-                    line[iy] = data[(ix * n + iy) * n + iz];
-                }
-                run(&mut line);
-                for iy in 0..n {
-                    data[(ix * n + iy) * n + iz] = line[iy];
-                }
-            }
+        // z lines are contiguous; the y and x passes run column-batched
+        // across the contiguous z (resp. y·z) extent of each slab.
+        for line in data.chunks_exact_mut(n) {
+            self.plan.cols(line, 1, sc);
         }
-        // x lines: stride n².
-        for iy in 0..n {
-            for iz in 0..n {
-                for ix in 0..n {
-                    line[ix] = data[(ix * n + iy) * n + iz];
-                }
-                run(&mut line);
-                for ix in 0..n {
-                    data[(ix * n + iy) * n + iz] = line[ix];
-                }
-            }
+        for slab in data.chunks_exact_mut(n * n) {
+            self.plan.cols(slab, n, sc);
+        }
+        self.plan.cols(data, n * n, sc);
+        if !fwd {
+            let inv = 1.0 / (n * n * n) as f64;
+            data.iter_mut().for_each(|v| *v = v.conj().scale(inv));
         }
     }
 }

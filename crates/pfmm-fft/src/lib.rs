@@ -4,9 +4,10 @@
 //! carrying the equivalent densities; diagonalizing it requires a 3-D FFT
 //! (paper §IV: "It is based on a Fast Fourier Transform-based
 //! diagonalization of the T operator"). No external FFT crate is used —
-//! this substrate implements an iterative radix-2 transform with a
-//! Bluestein fallback for arbitrary lengths, plus the 3-D tensor transform
-//! built from 1-D passes.
+//! this substrate implements one mixed-radix Cooley–Tukey plan for every
+//! length (radix-4/2/3/5 butterflies plus a generic odd-prime one), and
+//! the 3-D tensor transforms built from column-batched 1-D passes, with
+//! pruned variants for the M2L's corner-supported grids.
 
 pub mod complex;
 pub mod fft1d;
@@ -16,4 +17,4 @@ pub mod rfft;
 pub use complex::Complex;
 pub use fft1d::{FftPlan, FftScratch};
 pub use fft3d::Fft3;
-pub use rfft::{RFft3, RFftScratch, RealFftPlan};
+pub use rfft::{RFft3, RFftScratch};

@@ -7,6 +7,13 @@
 //! halves both spectrum memory and the per-interaction flops of the
 //! V-list translation.
 //!
+//! The 3-D transform runs its y and x passes column-batched: the 1-D
+//! butterflies sweep the contiguous `kz` (y pass) or `(ky, kz)` (x pass)
+//! rows of the spectrum in place, with no per-line gather or scatter.
+//! Its pruned variants skip the lines the M2L never needs: a source grid
+//! is zero outside the corner cube `[0, keep)³`, and a target reads back
+//! only that cube.
+//!
 //! Conventions match [`crate::FftPlan`] / [`crate::Fft3`]: the forward
 //! transform is unnormalized, the inverse carries the `1/n` (or `1/n³`)
 //! factor, so `inverse(forward(x)) == x`.
@@ -14,33 +21,29 @@
 use crate::complex::Complex;
 use crate::fft1d::{FftPlan, FftScratch};
 
-/// Reusable scratch for the `_with` variants of [`RealFftPlan`] and
-/// [`RFft3`]: the packed half-length signal, one complex line for the
-/// 3-D y/x passes, and the inner [`FftScratch`] for Bluestein lengths.
-/// A default (empty) scratch works for any plan; buffers warm on first
-/// use and are then reused allocation-free.
+/// Reusable scratch for the `_with` variants of [`RFft3`]: the packed
+/// half-length signal and the [`FftScratch`] work buffer of the 1-D
+/// passes. A default (empty) scratch works for any plan; buffers warm on
+/// first use and are then reused allocation-free.
 #[derive(Default)]
 pub struct RFftScratch {
     z: Vec<Complex>,
-    line: Vec<Complex>,
     fs: FftScratch,
 }
 
 impl RFftScratch {
     /// Heap bytes held, by allocated capacity.
     pub fn memory_bytes(&self) -> usize {
-        (self.z.capacity() + self.line.capacity()) * std::mem::size_of::<Complex>()
-            + self.fs.memory_bytes()
+        self.z.capacity() * std::mem::size_of::<Complex>() + self.fs.memory_bytes()
     }
 }
 
-/// 1-D real-to-complex / complex-to-real transform plan for even `n`.
-///
-/// The forward pass packs adjacent real pairs into a length-`n/2`
-/// complex signal, runs one half-length complex FFT, and untangles the
-/// even/odd sub-spectra — the classic trick that makes a real transform
-/// cost about half a complex one.
-pub struct RealFftPlan {
+/// 1-D real-to-complex / complex-to-real transform for even `n` (the z
+/// rows of [`RFft3`]). The forward pass packs adjacent real pairs into a
+/// length-`n/2` complex signal, runs one half-length complex FFT, and
+/// untangles the even/odd sub-spectra — the classic trick that makes a
+/// real transform cost about half a complex one.
+pub(crate) struct RealFftPlan {
     n: usize,
     half: FftPlan,
     /// `e^{-2πik/n}` for `k ∈ 0..=n/2` (forward untangling twiddles).
@@ -49,7 +52,7 @@ pub struct RealFftPlan {
 
 impl RealFftPlan {
     /// Plan a real transform of even length `n >= 2`.
-    pub fn new(n: usize) -> RealFftPlan {
+    pub(crate) fn new(n: usize) -> RealFftPlan {
         assert!(
             n >= 2 && n.is_multiple_of(2),
             "real FFT length must be even"
@@ -64,44 +67,20 @@ impl RealFftPlan {
         }
     }
 
-    /// Transform length (the real side).
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the plan length is zero (never: lengths are positive).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Independent spectrum entries: `n/2 + 1`.
-    pub fn spectrum_len(&self) -> usize {
-        self.n / 2 + 1
-    }
-
     /// Forward DFT of a real signal: writes `X[k]` for `k ∈ 0..=n/2`
     /// into `spec` (the remaining frequencies are `conj(X[n − k])`).
-    ///
-    /// # Panics
-    /// Panics if `x.len() != n` or `spec.len() != n/2 + 1`.
-    pub fn forward(&self, x: &[f64], spec: &mut [Complex]) {
-        self.forward_with(x, spec, &mut RFftScratch::default());
-    }
-
-    /// [`Self::forward`] reusing caller-owned scratch: alloc-free once
-    /// warmed, bitwise identical results.
-    pub fn forward_with(&self, x: &[f64], spec: &mut [Complex], sc: &mut RFftScratch) {
-        let n = self.n;
-        let m = n / 2;
+    pub(crate) fn forward_with(&self, x: &[f64], spec: &mut [Complex], sc: &mut RFftScratch) {
+        let (n, m) = (self.n, self.n / 2);
         assert_eq!(x.len(), n, "real input length");
         assert_eq!(spec.len(), m + 1, "half-spectrum length");
         sc.z.clear();
         sc.z.extend((0..m).map(|j| Complex::new(x[2 * j], x[2 * j + 1])));
-        let z = &mut sc.z;
-        self.half.forward_with(z, &mut sc.fs);
+        self.half.forward_with(&mut sc.z, &mut sc.fs);
+        // Z is m-periodic: append Z[0] as Z[m] instead of indexing mod m.
+        sc.z.push(sc.z[0]);
+        let z = &sc.z;
         for k in 0..=m {
-            let zk = z[k % m];
-            let zc = z[(m - k) % m].conj();
+            let (zk, zc) = (z[k], z[m - k].conj());
             let ze = (zk + zc).scale(0.5);
             let d = zk - zc;
             // Zo = d / (2i) = (d.im − i·d.re) / 2.
@@ -110,37 +89,31 @@ impl RealFftPlan {
         }
     }
 
-    /// Inverse DFT onto a real signal from its half spectrum
-    /// (normalized by `1/n`, the counterpart of [`Self::forward`]).
-    ///
-    /// # Panics
-    /// Panics if `spec.len() != n/2 + 1` or `x.len() != n`.
-    pub fn inverse(&self, spec: &[Complex], x: &mut [f64]) {
-        self.inverse_with(spec, x, &mut RFftScratch::default());
-    }
-
-    /// [`Self::inverse`] reusing caller-owned scratch (see
-    /// [`Self::forward_with`]).
-    pub fn inverse_with(&self, spec: &[Complex], x: &mut [f64], sc: &mut RFftScratch) {
-        let n = self.n;
-        let m = n / 2;
-        assert_eq!(spec.len(), m + 1, "half-spectrum length");
+    /// Inverse DFT onto a real signal from the *conjugate* of its half
+    /// spectrum (the conjugate trick of [`FftPlan::inverse_with`], folded
+    /// into the untangling and the output), unnormalized (`n·x`) times
+    /// `scale` — the 3-D inverse folds its whole `1/n³` into this pass.
+    pub(crate) fn backward_conj(
+        &self,
+        cspec: &[Complex],
+        x: &mut [f64],
+        scale: f64,
+        sc: &mut RFftScratch,
+    ) {
+        let (n, m) = (self.n, self.n / 2);
+        assert_eq!(cspec.len(), m + 1, "half-spectrum length");
         assert_eq!(x.len(), n, "real output length");
         sc.z.clear();
-        sc.z.resize(m, Complex::ZERO);
-        let z = &mut sc.z;
-        for (k, zk) in z.iter_mut().enumerate() {
-            let xk = spec[k];
-            let xc = spec[m - k].conj();
-            let ze = (xk + xc).scale(0.5);
-            // conj of the forward twiddle: e^{+2πik/n}.
-            let zo = self.tw[k].conj() * (xk - xc).scale(0.5);
-            *zk = ze + Complex::new(-zo.im, zo.re);
-        }
-        self.half.inverse_with(z, &mut sc.fs);
-        for (j, v) in z.iter().enumerate() {
-            x[2 * j] = v.re;
-            x[2 * j + 1] = v.im;
+        sc.z.extend((0..m).map(|k| {
+            let (yk, yc) = (cspec[k], cspec[m - k].conj());
+            // conj(Ze + i·Zo) of the packed inverse: Ze − i·Zo here.
+            let zo = self.tw[k] * (yk - yc);
+            (yk + yc) + Complex::new(zo.im, -zo.re)
+        }));
+        self.half.forward_with(&mut sc.z, &mut sc.fs);
+        for (j, v) in sc.z.iter().enumerate() {
+            x[2 * j] = v.re * scale;
+            x[2 * j + 1] = -v.im * scale;
         }
     }
 }
@@ -202,43 +175,41 @@ impl RFft3 {
     /// [`Self::forward`] reusing caller-owned scratch: alloc-free once
     /// warmed, bitwise identical results.
     pub fn forward_with(&self, real: &[f64], spec: &mut [Complex], sc: &mut RFftScratch) {
+        self.forward_pruned_with(real, spec, self.n, sc);
+    }
+
+    /// [`Self::forward_with`] for a grid that is zero outside the corner
+    /// cube `[0, keep)³`: the z rows and y lines that are all zero are
+    /// skipped. Equal (`==`) to the full transform of the same grid.
+    ///
+    /// # Panics
+    /// Panics on the size mismatches of [`Self::forward`] or `keep > n`.
+    pub fn forward_pruned_with(
+        &self,
+        real: &[f64],
+        spec: &mut [Complex],
+        keep: usize,
+        sc: &mut RFftScratch,
+    ) {
         let (n, h) = (self.n, self.h);
         assert_eq!(real.len(), n * n * n, "real grid size");
         assert_eq!(spec.len(), self.spectrum_len(), "spectrum size");
-        // z: real-to-complex per contiguous row.
-        for xy in 0..n * n {
-            self.rplan.forward_with(
-                &real[xy * n..(xy + 1) * n],
-                &mut spec[xy * h..(xy + 1) * h],
-                sc,
-            );
-        }
-        // y and x: full complex passes per retained kz plane.
-        sc.line.clear();
-        sc.line.resize(n, Complex::ZERO);
-        let RFftScratch { line, fs, .. } = sc;
-        for ix in 0..n {
-            for kz in 0..h {
-                for iy in 0..n {
-                    line[iy] = spec[(ix * n + iy) * h + kz];
-                }
-                self.cplan.forward_with(line, fs);
-                for iy in 0..n {
-                    spec[(ix * n + iy) * h + kz] = line[iy];
-                }
+        assert!(keep <= n, "support exceeds the grid");
+        let plane = n * h;
+        // z: real-to-complex per contiguous row inside the support.
+        for (xy, row) in spec.chunks_exact_mut(h).enumerate() {
+            if xy / n < keep && xy % n < keep {
+                self.rplan.forward_with(&real[xy * n..][..n], row, sc);
+            } else {
+                row.fill(Complex::ZERO);
             }
         }
-        for iy in 0..n {
-            for kz in 0..h {
-                for ix in 0..n {
-                    line[ix] = spec[(ix * n + iy) * h + kz];
-                }
-                self.cplan.forward_with(line, fs);
-                for ix in 0..n {
-                    spec[(ix * n + iy) * h + kz] = line[ix];
-                }
-            }
+        // y: batched across the kz row of each nonzero x plane; x:
+        // batched across every (ky, kz).
+        for block in spec[..keep * plane].chunks_exact_mut(plane) {
+            self.cplan.cols(block, h, &mut sc.fs);
         }
+        self.cplan.cols(spec, plane, &mut sc.fs);
     }
 
     /// Inverse transform of a half spectrum onto a real grid (normalized
@@ -254,42 +225,39 @@ impl RFft3 {
     /// [`Self::inverse`] reusing caller-owned scratch (see
     /// [`Self::forward_with`]).
     pub fn inverse_with(&self, spec: &mut [Complex], real: &mut [f64], sc: &mut RFftScratch) {
+        self.inverse_pruned_with(spec, real, self.n, sc);
+    }
+
+    /// [`Self::inverse_with`] computing only the rows `ix, iy < keep` of
+    /// `real` (the rest is left untouched): the y lines and z rows whose
+    /// outputs would be discarded are skipped. The kept rows equal the
+    /// full inverse bit for bit.
+    ///
+    /// # Panics
+    /// Panics on the size mismatches of [`Self::inverse`] or `keep > n`.
+    pub fn inverse_pruned_with(
+        &self,
+        spec: &mut [Complex],
+        real: &mut [f64],
+        keep: usize,
+        sc: &mut RFftScratch,
+    ) {
         let (n, h) = (self.n, self.h);
         assert_eq!(spec.len(), self.spectrum_len(), "spectrum size");
         assert_eq!(real.len(), n * n * n, "real grid size");
-        sc.line.clear();
-        sc.line.resize(n, Complex::ZERO);
-        {
-            let RFftScratch { line, fs, .. } = sc;
-            for iy in 0..n {
-                for kz in 0..h {
-                    for ix in 0..n {
-                        line[ix] = spec[(ix * n + iy) * h + kz];
-                    }
-                    self.cplan.inverse_with(line, fs);
-                    for ix in 0..n {
-                        spec[(ix * n + iy) * h + kz] = line[ix];
-                    }
-                }
-            }
-            for ix in 0..n {
-                for kz in 0..h {
-                    for iy in 0..n {
-                        line[iy] = spec[(ix * n + iy) * h + kz];
-                    }
-                    self.cplan.inverse_with(line, fs);
-                    for iy in 0..n {
-                        spec[(ix * n + iy) * h + kz] = line[iy];
-                    }
-                }
-            }
+        assert!(keep <= n, "support exceeds the grid");
+        let plane = n * h;
+        // Conjugate trick: forward passes; the z rows conjugate back.
+        spec.iter_mut().for_each(|v| *v = v.conj());
+        self.cplan.cols(spec, plane, &mut sc.fs);
+        for block in spec[..keep * plane].chunks_exact_mut(plane) {
+            self.cplan.cols(block, h, &mut sc.fs);
         }
-        for xy in 0..n * n {
-            self.rplan.inverse_with(
-                &spec[xy * h..(xy + 1) * h],
-                &mut real[xy * n..(xy + 1) * n],
-                sc,
-            );
+        let scale = 1.0 / (n * n * n) as f64;
+        let kept = |&(xy, _): &(usize, _)| xy / n < keep && xy % n < keep;
+        for (xy, row) in spec.chunks_exact(h).enumerate().filter(kept) {
+            self.rplan
+                .backward_conj(row, &mut real[xy * n..][..n], scale, sc);
         }
     }
 }
@@ -318,8 +286,8 @@ mod tests {
         for n in [2usize, 4, 8, 12, 16, 20] {
             let x = rand_real(n, n as u64);
             let plan = RealFftPlan::new(n);
-            let mut spec = vec![Complex::ZERO; plan.spectrum_len()];
-            plan.forward(&x, &mut spec);
+            let mut spec = vec![Complex::ZERO; n / 2 + 1];
+            plan.forward_with(&x, &mut spec, &mut RFftScratch::default());
             let full: Vec<Complex> = x.iter().map(|&v| Complex::real(v)).collect();
             let want = crate::fft1d::naive_dft(&full);
             for k in 0..=n / 2 {
@@ -341,11 +309,12 @@ mod tests {
     fn r2c_roundtrip_1d() {
         for n in [2usize, 4, 6, 8, 12, 24] {
             let x = rand_real(n, 7 * n as u64);
-            let plan = RealFftPlan::new(n);
-            let mut spec = vec![Complex::ZERO; plan.spectrum_len()];
-            plan.forward(&x, &mut spec);
+            let (plan, sc) = (RealFftPlan::new(n), &mut RFftScratch::default());
+            let mut spec = vec![Complex::ZERO; n / 2 + 1];
+            plan.forward_with(&x, &mut spec, sc);
             let mut back = vec![0.0; n];
-            plan.inverse(&spec, &mut back);
+            let cspec: Vec<Complex> = spec.iter().map(|v| v.conj()).collect();
+            plan.backward_conj(&cspec, &mut back, 1.0 / n as f64, sc);
             for (a, b) in x.iter().zip(&back) {
                 assert!((a - b).abs() < 1e-12, "n={n}: {a} vs {b}");
             }
@@ -356,7 +325,7 @@ mod tests {
     /// round trip — the property pair the batched M2L relies on.
     #[test]
     fn rfft3_matches_full_transform_and_roundtrips() {
-        for n in [4usize, 8, 12] {
+        for n in [4usize, 6, 8, 10, 12, 14] {
             let x = rand_real(n * n * n, 31 + n as u64);
             let r = RFft3::new(n);
             let mut spec = vec![Complex::ZERO; r.spectrum_len()];
@@ -383,6 +352,37 @@ mod tests {
             r.inverse(&mut spec, &mut back);
             for (a, b) in x.iter().zip(&back) {
                 assert!((a - b).abs() < 1e-11, "n={n}: {a} vs {b}");
+            }
+        }
+    }
+
+    /// The pruned transforms equal the full ones on every kept output:
+    /// the forward on a grid supported in `[0, n/2)³`, the inverse on the
+    /// rows `ix, iy < n/2` (and it leaves every other row untouched).
+    #[test]
+    fn pruned_transforms_equal_full_on_kept_outputs() {
+        for n in [4usize, 6, 8, 10, 12, 14, 16] {
+            let (keep, r) = (n / 2, RFft3::new(n));
+            let mut x = rand_real(n * n * n, 17 + n as u64);
+            for (i, v) in x.iter_mut().enumerate() {
+                if i / (n * n) >= keep || i / n % n >= keep || i % n >= keep {
+                    *v = 0.0;
+                }
+            }
+            let mut full = vec![Complex::ZERO; r.spectrum_len()];
+            r.forward(&x, &mut full);
+            let mut pruned = vec![Complex::new(9.0, 9.0); r.spectrum_len()];
+            let sc = &mut RFftScratch::default();
+            r.forward_pruned_with(&x, &mut pruned, keep, sc);
+            assert!(full == pruned, "n={n}: pruned forward differs");
+
+            let mut want = vec![0.0; n * n * n];
+            r.inverse(&mut full.clone(), &mut want);
+            let mut got = vec![7.0; n * n * n];
+            r.inverse_pruned_with(&mut full, &mut got, keep, sc);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                let kept = i / (n * n) < keep && i / n % n < keep;
+                assert_eq!(*g, if kept { *w } else { 7.0 }, "n={n} at {i}");
             }
         }
     }

@@ -12,8 +12,8 @@ fn arb_signal(n: usize) -> impl Strategy<Value = Vec<Complex>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// Forward∘inverse is the identity for any length (radix-2 and
-    /// Bluestein paths both covered by the range).
+    /// Forward∘inverse is the identity for any length (every hard-coded
+    /// radix and the generic odd-prime butterfly covered by the range).
     #[test]
     fn roundtrip_any_length(n in 1usize..70, seed in 0u64..1000) {
         let plan = FftPlan::new(n);
